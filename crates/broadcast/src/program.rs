@@ -255,12 +255,13 @@ impl BroadcastProgram {
     ///
     /// Panics when `page` is not on the broadcast (a V0 violation upstream).
     pub fn slots_until_present(&self, page: PageId, cursor: usize) -> usize {
-        debug_assert!(
-            self.contains(page),
-            "{page} is not on the broadcast — V0 coverage guarantees broadcast membership"
-        );
-        self.slots_until(page, cursor)
-            .expect("page is on the broadcast (bpp-verify V0 coverage)") // bpp-lint: allow(D3): membership is the V0-verified coverage invariant
+        match self.slots_until(page, cursor) {
+            Some(n) => n,
+            // bpp-lint: allow(D3): membership is the V0-verified coverage invariant
+            None => panic!(
+                "{page} is not on the broadcast — V0 coverage guarantees broadcast membership"
+            ),
+        }
     }
 
     /// Expected number of push slots (inclusive) a client arriving at a

@@ -11,12 +11,14 @@
 //!   that "arrived at `t`" only if it was scheduled before the slot event,
 //!   exactly like a process-oriented simulator with deterministic process
 //!   ordering.
-//! * The queue is a hashed hierarchical timer wheel (11 levels × 64 slots,
-//!   6 bits per level — 66 bits, so every `u64` tick is addressable and the
-//!   top levels double as the overflow range). `schedule` and `cancel` are
-//!   O(1): an event's integer tick (`time as u64`) picks its bucket directly
-//!   and a seq → bucket map lets `cancel` delete the entry in place — no
-//!   tombstones, no lazy pops, and `pending()` is exactly the live count.
+//! * The queue is a hierarchical timer wheel (11 levels × 64 slots, 6 bits
+//!   per level — 66 bits, so every `u64` tick is addressable and the top
+//!   levels double as the overflow range). An event's integer tick
+//!   (`time as u64`) and the wheel cursor pick its bucket directly, so
+//!   `schedule` and `pop` are O(1) with no hashing. The [`EventId`] carries
+//!   the tick, so `cancel` recomputes the bucket and deletes the entry in
+//!   place at O(events in that bucket) — no tombstones, no lazy pops, and
+//!   `pending()` is exactly the live count.
 //! * Determinism: buckets are ordered by actual `(time, seq)` when they
 //!   become the dispatch head, so the wheel reproduces the exact total order
 //!   a priority queue would produce. Equal times share a tick and therefore
@@ -25,15 +27,18 @@
 
 use bpp_obs::EngineObs;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Simulated time in broadcast units (the time to broadcast one page).
 pub type Time = f64;
 
-/// Handle for a scheduled event, usable with [`Scheduler::cancel`].
+/// Handle for a scheduled event, usable with [`Scheduler::cancel`]. Carries
+/// the event's tick beside its seq, so `cancel` can find the event's bucket
+/// without a lookup table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    tick: u64,
+}
 
 /// A simulation model: owns the domain state and interprets events.
 ///
@@ -61,35 +66,6 @@ struct Scheduled<E> {
     event: E,
 }
 
-/// Deterministic hasher for the seq → bucket map. Keys are single `u64`
-/// seqs, so one splitmix64 finalizer round (full avalanche, ~4 ns) replaces
-/// SipHash — the map sits on the schedule/cancel/pop hot path, where the
-/// default hasher dominated the cost of the whole operation. Seed-free and
-/// process-independent, so it cannot reintroduce nondeterminism.
-#[derive(Default)]
-struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Unused (keys hash via `write_u64`); FNV-1a keeps it correct for
-        // any future caller.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
 /// Bits per wheel level; each level indexes 64 slots.
 const BITS: usize = 6;
 /// Slots per level.
@@ -102,7 +78,7 @@ const LEVELS: usize = 11;
 /// Total buckets across all levels (flat index = level · 64 + slot).
 const BUCKETS: usize = LEVELS * SLOTS;
 
-/// The pending-event queue: a hashed hierarchical timer wheel. Handed to
+/// The pending-event queue: a hierarchical timer wheel. Handed to
 /// [`Model::handle`] so models can plant future events while reacting to the
 /// current one.
 ///
@@ -123,6 +99,15 @@ const BUCKETS: usize = LEVELS * SLOTS;
 ///   lowest occupied level (cascading it down re-bucketed) always selects
 ///   the globally earliest events next.
 ///
+/// Every pending entry sits in [`bucket_of`](Self::bucket_of)`(its tick)`
+/// for the current cursor. A level-0 cursor move goes to the lowest
+/// occupied slot, so it never leaves the cursor bucket (the sole home of
+/// clamped ticks) while that is occupied, and it leaves every higher 6-bit
+/// group of the cursor as it was. A cascade changes only the groups at and
+/// below the emptied level and re-places that bucket's entries through
+/// [`place`](Self::place). `cancel` relies on this to find an event
+/// from the tick in its [`EventId`], then scans that one bucket for the seq.
+///
 /// The bucket at the dispatch head is sorted descending by `(time, seq)`
 /// once and popped from the back; inserts landing in it keep it sorted via
 /// binary search, so the amortised cost stays O(1) per event for the
@@ -132,16 +117,14 @@ pub struct Scheduler<E> {
     /// Per-level occupancy bitmask: bit `s` set ⟺ bucket (level, s) is
     /// non-empty. Kept exact on every insert and delete.
     occ: [u64; LEVELS],
-    /// seq → flat bucket index, for O(1) cancellation with true deletion.
-    /// Never iterated (hash order is nondeterministic); `len()` is the live
-    /// event count.
-    location: HashMap<u64, u16, BuildHasherDefault<SeqHasher>>,
     /// Flat index of the bucket currently being drained (sorted descending
     /// by `(time, seq)`), if any. Always a level-0 bucket, always non-empty.
     cur_bucket: Option<u16>,
     /// Wheel cursor: the tick of the bucket at the dispatch head. Only ever
     /// advances (events are never scheduled before `now`).
     wheel_pos: u64,
+    /// Live event count: scheduled, not yet fired or cancelled.
+    live: usize,
     next_seq: u64,
     now: Time,
 }
@@ -151,12 +134,9 @@ impl<E> Scheduler<E> {
         Scheduler {
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
-            // Pre-size past the rehash-growth cliff: the doubling walk from
-            // the default capacity re-copies every entry several times
-            // before a typical run's pending set (hundreds of events) fits.
-            location: HashMap::with_capacity_and_hasher(1024, BuildHasherDefault::default()),
             cur_bucket: None,
             wheel_pos: 0,
+            live: 0,
             next_seq: 0,
             now: 0.0,
         }
@@ -177,12 +157,16 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.live += 1;
         self.place(Scheduled {
             time: at,
             seq,
             event,
         });
-        EventId(seq)
+        EventId {
+            seq,
+            tick: at as u64,
+        }
     }
 
     /// Schedule `event` after a non-negative `delay` from now.
@@ -197,16 +181,12 @@ impl<E> Scheduler<E> {
 
     /// Cancel a pending event, deleting it from its bucket immediately.
     /// Returns `true` if the event had not yet fired (or been cancelled);
-    /// cancelling an already-fired event is a no-op.
+    /// cancelling an already-fired event is a no-op. Costs one scan of the
+    /// event's bucket.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(b) = self.location.remove(&id.0) else {
-            return false;
-        };
-        let b = b as usize;
-        let Some(idx) = self.buckets[b].iter().position(|e| e.seq == id.0) else {
-            // The location map is updated on every insert, pop, and delete,
-            // so a mapped seq is always present in its named bucket.
-            debug_assert!(false, "location map names a bucket without the event");
+        let b = self.bucket_of(id.tick);
+        // A fired or cancelled event is in no bucket, so it is not in this one.
+        let Some(idx) = self.buckets[b].iter().position(|e| e.seq == id.seq) else {
             return false;
         };
         if self.cur_bucket == Some(b as u16) {
@@ -222,13 +202,14 @@ impl<E> Scheduler<E> {
                 self.cur_bucket = None;
             }
         }
+        self.live -= 1;
         true
     }
 
     /// Number of pending (live) events. Cancelled events are deleted
     /// outright, so this is exactly the count of events that can still fire.
     pub fn pending(&self) -> usize {
-        self.location.len()
+        self.live
     }
 
     /// Time of the next live event, or `None` when nothing remains. May
@@ -242,20 +223,23 @@ impl<E> Scheduler<E> {
         self.buckets[b].last().map(|s| s.time)
     }
 
-    /// Route an entry to its bucket and record it in the location map.
+    /// Flat index of the bucket an entry with `tick` belongs in under the
+    /// current cursor. Ticks at or behind the cursor (the cursor may run
+    /// ahead of `now` after a peek) clamp into the cursor bucket, which
+    /// dispatches before every other bucket; order inside is by real
+    /// `(time, seq)`.
+    fn bucket_of(&self, tick: u64) -> usize {
+        if tick <= self.wheel_pos {
+            return (self.wheel_pos & SLOT_MASK) as usize;
+        }
+        let high = 63 - (tick ^ self.wheel_pos).leading_zeros() as usize;
+        let level = high / BITS;
+        level * SLOTS + ((tick >> (level * BITS)) & SLOT_MASK) as usize
+    }
+
+    /// Route an entry to its bucket.
     fn place(&mut self, s: Scheduled<E>) {
-        let tick = s.time as u64;
-        let b = if tick <= self.wheel_pos {
-            // At-or-behind the cursor (the cursor may run ahead of `now`
-            // after a peek): clamp into the cursor bucket, which dispatches
-            // before every other bucket. Order inside is by real (time, seq).
-            (self.wheel_pos & SLOT_MASK) as usize
-        } else {
-            let high = 63 - (tick ^ self.wheel_pos).leading_zeros() as usize;
-            let level = high / BITS;
-            level * SLOTS + ((tick >> (level * BITS)) & SLOT_MASK) as usize
-        };
-        self.location.insert(s.seq, b as u16);
+        let b = self.bucket_of(s.time as u64);
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] |= 1 << (b % SLOTS);
         }
@@ -322,7 +306,7 @@ impl<E> Scheduler<E> {
         }
         let b = self.cur_bucket? as usize;
         let s = self.buckets[b].pop()?;
-        self.location.remove(&s.seq);
+        self.live -= 1;
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] &= !(1 << (b % SLOTS));
             self.cur_bucket = None;
@@ -524,7 +508,7 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_noop() {
         let mut e = engine();
-        assert!(!e.scheduler().cancel(EventId(1234)));
+        assert!(!e.scheduler().cancel(EventId { seq: 1234, tick: 0 }));
     }
 
     #[test]
@@ -701,6 +685,52 @@ mod tests {
     }
 
     // ---- timer-wheel specific coverage ----
+    //
+    // These tests audit the wheel (`check_placement`) after every
+    // operation: each schedule, cancel, peek and dispatch.
+
+    /// Audit of the wheel's bookkeeping: every pending entry sits in
+    /// `bucket_of(its tick)`, the occupancy bits match the buckets, the head
+    /// bucket is a non-empty level-0 bucket sorted for back-popping, and
+    /// `live` counts every entry.
+    fn check_placement<E>(w: &Scheduler<E>) {
+        let mut n = 0;
+        for (b, bucket) in w.buckets.iter().enumerate() {
+            let bit = w.occ[b / SLOTS] >> (b % SLOTS) & 1 == 1;
+            assert_eq!(bit, !bucket.is_empty(), "occupancy bit of bucket {b}");
+            for s in bucket {
+                assert_eq!(
+                    w.bucket_of(s.time as u64),
+                    b,
+                    "seq {} (t={}) sits outside bucket_of(its tick)",
+                    s.seq,
+                    s.time
+                );
+            }
+            n += bucket.len();
+        }
+        assert_eq!(n, w.live, "live count");
+        if let Some(c) = w.cur_bucket {
+            let head = &w.buckets[c as usize];
+            assert!((c as usize) < SLOTS && !head.is_empty(), "head bucket {c}");
+            assert!(
+                head.windows(2).all(|p| p[0]
+                    .time
+                    .total_cmp(&p[1].time)
+                    .then(p[0].seq.cmp(&p[1].seq))
+                    == Ordering::Greater),
+                "head bucket {c} is not sorted descending by (time, seq)"
+            );
+        }
+    }
+
+    /// `run_to_completion`, auditing the wheel after every dispatch.
+    fn drain_checked<M: Model>(e: &mut Engine<M>) {
+        check_placement(&e.sched);
+        while e.step() {
+            check_placement(&e.sched);
+        }
+    }
 
     #[test]
     fn events_across_wheel_levels_fire_in_order() {
@@ -712,8 +742,9 @@ mod tests {
         let mut e = engine();
         for (i, &t) in times.iter().enumerate() {
             e.scheduler().schedule_at(t, Ev::Tag(i as u32));
+            check_placement(&e.sched);
         }
-        e.run_to_completion();
+        drain_checked(&mut e);
         let mut expect: Vec<(Time, u32)> = times
             .iter()
             .enumerate()
@@ -731,23 +762,27 @@ mod tests {
         let mut e = engine();
         e.scheduler().schedule_at(5.2, Ev::Tag(0));
         e.scheduler().schedule_at(70.5, Ev::Tag(2));
+        check_placement(&e.sched);
         e.run_until(5.2);
+        check_placement(&e.sched);
         assert_eq!(e.model().log, vec![(5.2, 0)]);
         // Cursor moves to tick 70's bucket while looking for the head...
         assert_eq!(e.scheduler().peek_live(), Some(70.5));
+        check_placement(&e.sched);
         // ...but an intervening event at t=6 must still fire first.
         e.scheduler().schedule_at(6.0, Ev::Tag(1));
-        e.run_to_completion();
+        drain_checked(&mut e);
         assert_eq!(e.model().log, vec![(5.2, 0), (6.0, 1), (70.5, 2)]);
     }
 
     #[test]
     fn distinct_times_in_one_tick_fire_by_time_not_seq() {
         let mut e = engine();
-        e.scheduler().schedule_at(2.75, Ev::Tag(0));
-        e.scheduler().schedule_at(2.25, Ev::Tag(1));
-        e.scheduler().schedule_at(2.5, Ev::Tag(2));
-        e.run_to_completion();
+        for (i, t) in [2.75, 2.25, 2.5].into_iter().enumerate() {
+            e.scheduler().schedule_at(t, Ev::Tag(i as u32));
+            check_placement(&e.sched);
+        }
+        drain_checked(&mut e);
         assert_eq!(e.model().log, vec![(2.25, 1), (2.5, 2), (2.75, 0)]);
     }
 
@@ -756,9 +791,11 @@ mod tests {
         let mut e = engine();
         let far = e.scheduler().schedule_at(1.0e9, Ev::Tag(0));
         e.scheduler().schedule_at(1.0, Ev::Tag(1));
+        check_placement(&e.sched);
         assert!(e.scheduler().cancel(far));
+        check_placement(&e.sched);
         assert_eq!(e.scheduler().pending(), 1);
-        e.run_to_completion();
+        drain_checked(&mut e);
         assert_eq!(e.model().log, vec![(1.0, 1)]);
         assert_eq!(e.scheduler().peek_live(), None);
         assert_eq!(e.scheduler().pending(), 0);
@@ -794,10 +831,93 @@ mod tests {
         e.scheduler().schedule_at(3.0, Cev::PlantSameInstant);
         e.scheduler().schedule_at(3.0, Cev::Emit(1));
         e.scheduler().schedule_at(3.5, Cev::Emit(2));
-        e.run_to_completion();
+        drain_checked(&mut e);
         assert_eq!(
             e.model().log,
             vec![(3.0, 1), (3.0, 100), (3.25, 200), (3.5, 2)]
         );
+    }
+
+    #[test]
+    fn cancel_finds_events_after_cascades_and_cursor_runs_ahead() {
+        // A far event cascades down level by level as nearer ones fire; it
+        // must stay cancellable from its id's tick at every stage, also once
+        // a peek has moved the cursor ahead of `now`.
+        let mut e = engine();
+        let far = e.scheduler().schedule_at(3.0e8, Ev::Tag(0));
+        let near = e.scheduler().schedule_at(2.0e8 + 0.5, Ev::Tag(1));
+        e.scheduler().schedule_at(1.0e6, Ev::Tag(2));
+        check_placement(&e.sched);
+        e.run_until(1.0e6);
+        check_placement(&e.sched);
+        assert_eq!(e.scheduler().peek_live(), Some(2.0e8 + 0.5));
+        check_placement(&e.sched);
+        // Cursor now sits at tick 2e8 while `now` is 1e6: a new event behind
+        // the cursor clamps into the cursor bucket and is still found.
+        let behind = e.scheduler().schedule_at(5.0e7, Ev::Tag(3));
+        check_placement(&e.sched);
+        assert!(e.scheduler().cancel(behind));
+        check_placement(&e.sched);
+        assert!(e.scheduler().cancel(near));
+        check_placement(&e.sched);
+        assert!(!e.scheduler().cancel(near), "already cancelled");
+        assert_eq!(e.scheduler().pending(), 1);
+        assert!(e.scheduler().cancel(far));
+        check_placement(&e.sched);
+        drain_checked(&mut e);
+        assert_eq!(e.model().log, vec![(1.0e6, 2)]);
+    }
+
+    #[test]
+    fn placement_invariant_holds_over_random_op_sequences() {
+        // Seeded op mix over the shapes `cancel` depends on: same-tick
+        // bursts, far delays that cascade through levels 3 and up, peeks
+        // that move the cursor ahead of `now`, and cancels of live, fired
+        // and cancelled ids alike. The wheel is audited after every op.
+        use crate::rng::{Rng, Xoshiro256pp};
+        for seed in 0..8u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(0x00B0_CCE7 + seed);
+            let mut e = engine();
+            let mut ids: Vec<EventId> = Vec::new();
+            let mut live = 0usize;
+            for _ in 0..600 {
+                match rng.random_range(0..8) {
+                    0..=2 => {
+                        let delay = match rng.random_range(0..4) {
+                            0 => 0.0,
+                            1 => rng.random::<f64>() * 8.0,
+                            2 => 64.0 + rng.random::<f64>() * 5_000.0,
+                            _ => 10f64.powf(6.0 + 3.0 * rng.random::<f64>()),
+                        };
+                        let at = e.now() + delay;
+                        ids.push(e.scheduler().schedule_at(at, Ev::Tag(0)));
+                        live += 1;
+                    }
+                    3 | 4 => {
+                        if !ids.is_empty() {
+                            let id = ids[rng.random_range(0..ids.len())];
+                            if e.scheduler().cancel(id) {
+                                live -= 1;
+                            }
+                        }
+                    }
+                    5 => {
+                        let _ = e.scheduler().peek_live();
+                    }
+                    _ => {
+                        if e.step() {
+                            live -= 1;
+                        }
+                    }
+                }
+                check_placement(&e.sched);
+                assert_eq!(e.scheduler().pending(), live, "seed {seed}");
+            }
+            drain_checked(&mut e);
+            for id in ids {
+                assert!(!e.scheduler().cancel(id), "nothing is left to cancel");
+            }
+            assert_eq!(e.scheduler().pending(), 0);
+        }
     }
 }

@@ -12,8 +12,13 @@
 //!   (the time to broadcast one page);
 //! * events scheduled for the same instant fire in FIFO order (a strict
 //!   total order, so runs are bit-for-bit reproducible);
+//! * pending events live in a hierarchical timer wheel: an event's integer
+//!   tick picks its bucket, so scheduling and dispatch are O(1) with no
+//!   hashing;
 //! * events can be cancelled via the [`EventId`] handle returned at
-//!   scheduling time;
+//!   scheduling time; the handle carries the event's tick, so a cancel
+//!   scans one bucket (O(events in that bucket)) and deletes the event
+//!   outright;
 //! * randomness comes only from explicitly seeded generators
 //!   (see [`rng`]), never from ambient entropy.
 //!

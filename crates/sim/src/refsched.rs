@@ -1,7 +1,7 @@
 //! Reference event queue: the pre-wheel binary-heap scheduler, retained
 //! verbatim in behaviour as a differential-testing oracle.
 //!
-//! [`crate::engine::Scheduler`] is a hashed hierarchical timer wheel; its
+//! [`crate::engine::Scheduler`] is a hierarchical timer wheel; its
 //! correctness contract is "identical `(time, seq)` dispatch order to a
 //! priority queue with FIFO tie-break". This module keeps that priority
 //! queue alive — tombstone cancellation and all — so property tests can

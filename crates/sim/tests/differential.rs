@@ -8,6 +8,12 @@
 //! [`ReferenceScheduler::drain_until`]. Both sides see identical operation
 //! streams; after every drain the `(time, tag)` dispatch logs, pending
 //! counts, and head times must agree.
+//!
+//! The wheel's `cancel` finds an event's bucket from the tick its
+//! [`EventId`] carries, so the op mix also covers the cases that lookup
+//! depends on: cancels of ids that already fired, far delays whose entries
+//! cascade through levels 3 and up before they are cancelled, and cancels
+//! issued right after `peek_live` has moved the wheel cursor ahead of `now`.
 
 use bpp_sim::{Engine, EventId, Model, ReferenceScheduler, Rng, Scheduler, Time, Xoshiro256pp};
 
@@ -26,7 +32,8 @@ impl Model for Recorder {
 /// One differential run: `ops` random operations under `seed`.
 ///
 /// Live events are tracked as `(wheel_id, heap_seq, tag)` triples so a
-/// cancel targets "the same event" on both sides. The op mix leans on the
+/// cancel targets "the same event" on both sides; fired events move to a
+/// second list so their ids can be cancelled too. The op mix leans on the
 /// shapes the simulator produces: same-instant bursts, zero delays, short
 /// think-time hops, and rare far-future jumps that cross wheel levels.
 fn differential_run(seed: u64, ops: usize) {
@@ -35,6 +42,7 @@ fn differential_run(seed: u64, ops: usize) {
     let mut heap: ReferenceScheduler<u32> = ReferenceScheduler::new();
     let mut heap_log: Vec<(Time, u32)> = Vec::new();
     let mut live: Vec<(EventId, u64, u32)> = Vec::new();
+    let mut fired: Vec<(EventId, u64, u32)> = Vec::new();
     let mut next_tag: u32 = 0;
 
     let schedule = |wheel: &mut Engine<Recorder>,
@@ -51,7 +59,7 @@ fn differential_run(seed: u64, ops: usize) {
     };
 
     for _ in 0..ops {
-        match rng.random_range(0..10) {
+        match rng.random_range(0..13) {
             // Schedule with a short delay (often same-tick / same-instant).
             0..=3 => {
                 let delay = match rng.random_range(0..4) {
@@ -90,6 +98,41 @@ fn differential_run(seed: u64, ops: usize) {
                     schedule(&mut wheel, &mut heap, &mut live, &mut next_tag, delay);
                 }
             }
+            // Schedule very far ahead (1e6–1e9 bu): the entry cascades
+            // through levels 3 and up, if it lives long enough.
+            8 => {
+                if rng.random_range(0..4) == 0 {
+                    let delay = 10f64.powf(6.0 + 3.0 * rng.random::<f64>());
+                    schedule(&mut wheel, &mut heap, &mut live, &mut next_tag, delay);
+                }
+            }
+            // Cancel an id that already fired: a no-op on both sides.
+            9 => {
+                if !fired.is_empty() {
+                    let (wid, hid, _) = fired[rng.random_range(0..fired.len())];
+                    let before = heap.pending();
+                    assert!(!wheel.scheduler().cancel(wid), "fired id (seed {seed})");
+                    assert!(!heap.cancel(hid), "fired id (seed {seed})");
+                    assert_eq!(wheel.scheduler().pending(), before, "seed {seed}");
+                    assert_eq!(heap.pending(), before, "seed {seed}");
+                }
+            }
+            // Peek (which may move the wheel cursor ahead of `now`), then
+            // plant an event behind the cursor and cancel a tracked one.
+            10 => {
+                assert_eq!(
+                    wheel.scheduler().peek_live(),
+                    heap.peek_live(),
+                    "head times diverged (seed {seed})"
+                );
+                let delay = rng.random::<f64>() * 4.0;
+                schedule(&mut wheel, &mut heap, &mut live, &mut next_tag, delay);
+                let k = rng.random_range(0..live.len());
+                let (wid, hid, _) = live.swap_remove(k);
+                let a = wheel.scheduler().cancel(wid);
+                let b = heap.cancel(hid);
+                assert_eq!(a, b, "cancel disagreement (seed {seed})");
+            }
             // Drain up to a deadline; sometimes ending exactly on a tick
             // boundary or between a tombstone and the next live event.
             _ => {
@@ -99,6 +142,7 @@ fn differential_run(seed: u64, ops: usize) {
                     _ => rng.random::<f64>() * 300.0,
                 };
                 let t = wheel.now() + dt;
+                let log_len = heap_log.len();
                 wheel.run_until(t);
                 heap_log.extend(heap.drain_until(t));
                 assert_eq!(
@@ -116,7 +160,12 @@ fn differential_run(seed: u64, ops: usize) {
                     heap.peek_live(),
                     "head times diverged (seed {seed})"
                 );
-                live.retain(|&(_, _, tag)| !heap_log.iter().any(|&(_, t2)| t2 == tag));
+                let fired_now = &heap_log[log_len..];
+                let (gone, still): (Vec<_>, Vec<_>) = live
+                    .into_iter()
+                    .partition(|&(_, _, tag)| fired_now.iter().any(|&(_, t2)| t2 == tag));
+                fired.extend(gone);
+                live = still;
             }
         }
     }

@@ -14,6 +14,13 @@ cargo test -q --frozen
 cargo test -q --frozen -p bpp-core --test faults
 cargo clippy --all-targets --frozen -- -D warnings
 
+# The repository benchmark (perfbench/, its own workspace) builds against
+# the sim crates' public API, so its self-tests and lint run here: an API
+# change such as a new `EventId` layout fails this gate, not the next perf
+# run.
+cargo test --release --frozen --manifest-path perfbench/Cargo.toml
+cargo run --release --frozen -p bpp-lint -- --root perfbench --deny
+
 # Determinism & hygiene static analysis (see DESIGN.md "Static analysis"):
 # exit 1 on any unsuppressed diagnostic, exit 3 on an internal lexer
 # failure. On success the human report prints the per-rule counts and
