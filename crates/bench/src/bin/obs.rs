@@ -10,10 +10,25 @@
 //! protocol — and prints the complete `SteadyStateResult` (including its
 //! `obs` section); `scripts/ci.sh` compares the output byte-for-byte
 //! against `results/obs_smoke.json`.
+//!
+//! `--smoke-full` pins every per-slot timeline the layer can produce: two
+//! fixed 20 000-unit cells with a 200-client fleet, scheduled crashes,
+//! brownouts, loss with retries, and the `mc_hit_rate` and `disk_share`
+//! knobs on. The single-channel cell uses a fractional 0.3-unit stride, so
+//! its timelines downsample eight times; the four-channel cell (333.3-unit
+//! stride) adds the per-channel depth, share and brownout-state series. The
+//! output is one JSON object `{"k1": …, "k4": …}` of the two
+//! `SteadyStateResult`s;
+//! `scripts/ci.sh` compares it byte-for-byte against
+//! `results/obs_full_smoke.json`.
 
 use bpp_bench::Opts;
 use bpp_core::report::{fmt_units, Table};
-use bpp_core::{run_steady_state, Algorithm, FaultConfig, MeasurementProtocol, SystemConfig};
+use bpp_core::{
+    run_steady_state, Algorithm, ClientPopulation, FaultConfig, MeasurementProtocol,
+    SteadyStateResult, SystemConfig,
+};
+use bpp_json::{Json, ToJson};
 use bpp_obs::ObsReport;
 
 fn smoke() {
@@ -29,6 +44,44 @@ fn smoke() {
     let r = run_steady_state(&cfg, &MeasurementProtocol::quick());
     assert!(r.obs.is_some(), "obs layer enabled");
     println!("{}", bpp_json::to_string_pretty(&r));
+}
+
+/// One `--smoke-full` cell: every slot-sampled obs series switched on.
+fn full_cell(num_channels: usize, stride: f64) -> SteadyStateResult {
+    let mut cfg = SystemConfig::small();
+    cfg.algorithm = Algorithm::Ipp;
+    cfg.pull_bw = 0.5;
+    cfg.thres_perc = 0.0;
+    cfg.steady_state_perc = 0.95;
+    cfg.think_time_ratio = 10.0;
+    cfg.seed = 7;
+    cfg.num_channels = num_channels;
+    cfg.population = ClientPopulation::fleet(200);
+    let mut fault = FaultConfig::lossy(0.02);
+    fault.brownout_period = 700.0;
+    fault.brownout_duration = 60.0;
+    fault.crash.schedule = vec![1_500.0, 4_000.0];
+    fault.crash.downtime = 40.0;
+    cfg.fault = fault;
+    cfg.obs.enabled = true;
+    cfg.obs.timeline_stride = stride;
+    cfg.obs.mc_hit_rate = true;
+    cfg.obs.disk_share = true;
+    let proto = MeasurementProtocol {
+        max_sim_time: 20_000.0,
+        ..MeasurementProtocol::quick()
+    };
+    let r = run_steady_state(&cfg, &proto);
+    assert!(r.obs.is_some(), "obs layer enabled");
+    r
+}
+
+fn smoke_full() {
+    let report = Json::object([
+        ("k1", full_cell(1, 0.3).to_json()),
+        ("k4", full_cell(4, 333.3).to_json()),
+    ]);
+    println!("{}", bpp_json::to_string_pretty(&report));
 }
 
 fn counters_table(report: &ObsReport) -> Table {
@@ -91,6 +144,10 @@ fn trace_table(report: &ObsReport) -> Table {
 }
 
 fn main() {
+    if std::env::args().any(|a| a == "--smoke-full") {
+        smoke_full();
+        return;
+    }
     if std::env::args().any(|a| a == "--smoke") {
         smoke();
         return;

@@ -372,6 +372,36 @@ impl FaultConfig {
     pub fn in_brownout(&self, now: f64) -> bool {
         self.has_brownouts() && now % self.brownout_period < self.brownout_duration
     }
+
+    /// [`in_brownout`](Self::in_brownout) at `now`, plus a time `until`
+    /// before which the answer cannot change: `in_brownout(t)` returns the
+    /// same state for every `t` in `[now, until)`. Callers that poll a
+    /// non-decreasing clock re-evaluate the window only from `until` on.
+    ///
+    /// In exact arithmetic the state holds while `t - now` stays below
+    /// the distance `d` from `now % period` to the window's next edge
+    /// (`% ` is exact, so `t % period = now % period + (t - now)` until
+    /// then). `until = now + d - 1` keeps a whole unit of margin for the
+    /// rounding of `d` and of that sum, which is sound while every value is
+    /// below 2^50 (ulp ≤ 1/4); outside that range, for negative or NaN
+    /// `now`, and within one unit of an edge, `until = now` (re-evaluate
+    /// at the next call).
+    pub fn brownout_hold(&self, now: f64) -> (bool, f64) {
+        const EXACT_BELOW: f64 = (1u64 << 50) as f64;
+        if !self.has_brownouts() {
+            return (false, f64::INFINITY);
+        }
+        let r = now % self.brownout_period;
+        let browned = r < self.brownout_duration;
+        let edge = if browned {
+            self.brownout_duration - r
+        } else {
+            self.brownout_period - r
+        };
+        let until = now + edge - 1.0;
+        let sound = now >= 0.0 && until > now && until < EXACT_BELOW;
+        (browned, if sound { until } else { now })
+    }
 }
 
 impl ToJson for FaultConfig {
@@ -1671,6 +1701,58 @@ mod tests {
         let back: SystemConfig = bpp_json::from_str(&s).unwrap();
         assert_eq!(back.num_channels, 1);
         assert_eq!(c, back);
+    }
+
+    #[test]
+    fn brownout_hold_never_outlives_the_window_state() {
+        use bpp_sim::{Rng, Xoshiro256pp};
+        // A caller polling a non-decreasing clock re-evaluates the window
+        // only from `until` on; it must see `in_brownout` at every clock,
+        // across fractional periods, windows longer than the period, phase
+        // shifts, zero steps, and clocks far from the origin.
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        for case in 0..300 {
+            let period = match case % 5 {
+                0 => 5_000.0,
+                1 => 7.3,
+                2 => 0.9,
+                _ => 0.5 + rng.random::<f64>() * 200.0,
+            };
+            let duration = (0.01 + rng.random::<f64>() * 1.2) * period;
+            let window = FaultConfig {
+                brownout_period: period,
+                brownout_duration: duration,
+                ..FaultConfig::none()
+            };
+            let shift = rng.random::<f64>() * period;
+            let mut now = match case % 7 {
+                0 => 1.0e9,
+                1 => (1u64 << 50) as f64 - 3_000.0,
+                _ => 0.0,
+            };
+            let (mut browned, mut until) = (false, f64::NEG_INFINITY);
+            let mut recomputed = 0;
+            for _ in 0..3_000 {
+                let clock = now + shift;
+                if clock >= until {
+                    (browned, until) = window.brownout_hold(clock);
+                    recomputed += 1;
+                }
+                assert_eq!(browned, window.in_brownout(clock), "case {case} at {clock}");
+                now += match rng.random_range(0..8) {
+                    0 => 0.0,
+                    1 => rng.random::<f64>(),
+                    _ => 1.0,
+                };
+            }
+            if period == 5_000.0 && case % 7 > 1 {
+                assert!(recomputed < 30, "case {case}: {recomputed} evaluations");
+            }
+        }
+        assert_eq!(
+            FaultConfig::none().brownout_hold(3.0),
+            (false, f64::INFINITY)
+        );
     }
 
     #[test]

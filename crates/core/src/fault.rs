@@ -92,12 +92,13 @@ impl FaultLayer {
         lost
     }
 
-    /// Whether a brownout window covers `now` — the pure query behind
+    /// Whether a brownout window covers `now`, and until when that answer
+    /// holds ([`FaultConfig::brownout_hold`]) — the pure query behind
     /// [`FaultLayer::brownout_discard`], counting nothing. The K-channel
-    /// world samples it per channel (with each channel's phase shift) for
+    /// world polls it per channel (with each channel's phase shift) for
     /// the `fault.ch<k>.state` observability timelines.
-    pub fn in_brownout(&self, now: f64) -> bool {
-        self.cfg.in_brownout(now)
+    pub fn brownout_hold(&self, now: f64) -> (bool, f64) {
+        self.cfg.brownout_hold(now)
     }
 
     /// Clock check against the brownout window (no randomness); counts and

@@ -307,6 +307,18 @@ impl CrashState {
     /// Smoothing factor of the recovery detector's response EWMA.
     const RESPONSE_SMOOTHING: f64 = 0.1;
 
+    /// Server availability as the `fault.state` timeline encodes it:
+    /// 0 up, 1 down, 2 recovering.
+    fn availability(&self) -> f64 {
+        if self.down {
+            1.0
+        } else if self.recovering {
+            2.0
+        } else {
+            0.0
+        }
+    }
+
     fn new(cfg: CrashConfig, seed: u64) -> Self {
         let mut rng = (cfg.mtbf > 0.0).then(|| stream_rng(seed, streams::CRASH));
         let mut schedule: std::collections::VecDeque<f64> = cfg.schedule.iter().copied().collect();
@@ -1043,6 +1055,9 @@ impl World {
                     *shift = (m.shards.len() - k) as f64 * period / k_f;
                 }
             }
+            if let Some(obs) = &mut self.obs {
+                obs.on_brownout_change();
+            }
         }
     }
 
@@ -1492,44 +1507,27 @@ impl World {
         if self.crash.is_some() {
             self.crash_edges(now);
         }
-        if self.obs.is_some() {
+        if let Some(obs) = &mut self.obs {
             // bpp-lint: allow(D3): same Option the dispatch guard just unwrapped
             let m = self.multi.as_ref().expect("multi mode");
-            let depths: Vec<usize> = m.shards.iter().map(|s| s.queue.len()).collect();
-            let total: usize = depths.iter().sum();
-            let brownouts: Vec<f64> = match &self.fault {
-                Some(f) => m
-                    .brownout_shifts
-                    .iter()
-                    .map(|&shift| f64::from(f.in_brownout(now + shift)))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let fleet_hit_rate = self.fleet.as_ref().map(|f| f.stats().hit_rate());
-            let mc_hit_rate = self.mc.stats().hit_rate();
-            let crash_state = self.crash.as_ref().map(|c| {
-                if c.down {
-                    1.0
-                } else if c.recovering {
-                    2.0
-                } else {
-                    0.0
-                }
-            });
-            if let Some(obs) = self.obs.as_mut() {
-                obs.on_slot(now, total);
-                obs.on_slot_channel_depths(now, &depths);
-                obs.on_slot_channel_share(now);
-                if !brownouts.is_empty() {
-                    obs.on_slot_channel_fault(now, &brownouts);
-                }
-                if let Some(hr) = fleet_hit_rate {
-                    obs.on_slot_fleet(now, hr);
-                }
-                obs.on_slot_mc_hit_rate(now, mc_hit_rate);
-                if let Some(state) = crash_state {
-                    obs.on_slot_fault_state(now, state);
-                }
+            let mut s = obs.slot(now);
+            let mut total = 0;
+            for (k, shard) in m.shards.iter().enumerate() {
+                let depth = shard.queue.len();
+                total += depth;
+                s.channel_depth(k, depth);
+            }
+            s.queue_depth(total);
+            s.channel_share();
+            if let Some(f) = &self.fault {
+                s.channel_brownouts(f, &m.brownout_shifts);
+            }
+            if let Some(fleet) = &self.fleet {
+                s.fleet_hit_rate(fleet.stats().hit_rate());
+            }
+            s.mc_hit_rate(|| self.mc.stats().hit_rate());
+            if let Some(c) = &self.crash {
+                s.fault_state(c.availability());
             }
         }
         // A dead server broadcasts nothing on any channel and serves no
@@ -1740,21 +1738,15 @@ impl Model for World {
                     self.crash_edges(now);
                 }
                 if let Some(obs) = &mut self.obs {
-                    obs.on_slot(now, self.queue.len());
+                    let mut s = obs.slot(now);
+                    s.queue_depth(self.queue.len());
                     if let Some(fleet) = &self.fleet {
-                        obs.on_slot_fleet(now, fleet.stats().hit_rate());
+                        s.fleet_hit_rate(fleet.stats().hit_rate());
                     }
-                    obs.on_slot_mc_hit_rate(now, self.mc.stats().hit_rate());
-                    obs.on_slot_disk_share(now);
+                    s.mc_hit_rate(|| self.mc.stats().hit_rate());
+                    s.disk_share();
                     if let Some(c) = &self.crash {
-                        let state = if c.down {
-                            1.0
-                        } else if c.recovering {
-                            2.0
-                        } else {
-                            0.0
-                        };
-                        obs.on_slot_fault_state(now, state);
+                        s.fault_state(c.availability());
                     }
                 }
                 // A dead server broadcasts nothing and serves no pulls; the
@@ -2610,6 +2602,53 @@ mod tests {
             })
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "channel shares sum {total}");
+    }
+
+    #[test]
+    fn channel_brownout_timelines_follow_a_mid_run_window_change() {
+        // The per-channel brownout states are cached between window edges;
+        // re-pointing the window must invalidate that cache. Oracle: with
+        // a 4-unit stride every bucket covers four unit slots, so its mean
+        // is exactly (slots browned out) / 4 under the window in force.
+        let mut cfg = k_cfg(4);
+        cfg.obs.enabled = true;
+        cfg.obs.timeline_stride = 4.0;
+        cfg.fault.brownout_period = 100.0;
+        cfg.fault.brownout_duration = 10.0;
+        let mut engine = World::steady_state(&cfg, &MeasurementProtocol::quick()).into_engine();
+        engine.run_until(499.0);
+        engine.model_mut().set_brownout(50.0, 25.0);
+        engine.run_until(999.0);
+        let report = engine
+            .model()
+            .obs_report(engine.obs(), 1_000.0)
+            .expect("obs enabled");
+        for k in 0..4 {
+            let key = format!("fault.ch{k}.state");
+            let (_, tl) = report
+                .timelines
+                .iter()
+                .find(|(n, _)| *n == key)
+                .expect("brownout-state timeline present");
+            let browned = |t: u32| {
+                let (period, duration) = if t < 500 { (100.0, 10.0) } else { (50.0, 25.0) };
+                let window = crate::FaultConfig {
+                    brownout_period: period,
+                    brownout_duration: duration,
+                    ..crate::FaultConfig::none()
+                };
+                let shift = (4 - k) as f64 * period / 4.0;
+                window.in_brownout(f64::from(t) + shift)
+            };
+            let points = tl.points();
+            assert_eq!(points.len(), 250, "{key}");
+            for (i, &(start, mean, _)) in points.iter().enumerate() {
+                let i = i as u32;
+                let count = (4 * i..4 * i + 4).filter(|&t| browned(t)).count();
+                assert_eq!(start, f64::from(4 * i), "{key}");
+                assert_eq!(mean, count as f64 / 4.0, "{key} bucket {i}");
+            }
+        }
     }
 
     #[test]

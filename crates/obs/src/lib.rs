@@ -10,7 +10,12 @@
 //! * [`Timeline`] — a time-weighted series with fixed-stride buckets that
 //!   downsamples itself (merging adjacent buckets and doubling the stride)
 //!   whenever the simulated horizon outgrows the bucket budget, keeping
-//!   memory bounded regardless of run length.
+//!   memory bounded regardless of run length. An update that lands in the
+//!   bucket already open costs three float operations and no division.
+//! * [`TimelineGroup`] — series sampled at the same instants (slot
+//!   boundaries) sharing one time cursor: one monotonicity check, bucket
+//!   choice and downsampling decision per sample for the whole group, with
+//!   reports bit-identical to one `Timeline` per series.
 //! * [`TraceRing`] — a bounded ring of structured trace events; the oldest
 //!   entries are evicted first and the number of evictions is reported.
 //! * [`EngineObs`] — the hook object the simulation engine drives: per-label
@@ -31,7 +36,7 @@ pub mod trace;
 
 pub use config::ObsConfig;
 pub use engine_obs::EngineObs;
-pub use metrics::{CounterHandle, Metrics};
+pub use metrics::Metrics;
 pub use report::ObsReport;
-pub use timeline::Timeline;
+pub use timeline::{Sample, SeriesId, Timeline, TimelineGroup};
 pub use trace::{TraceEntry, TraceRing};

@@ -4,29 +4,16 @@ use std::collections::BTreeMap;
 
 use bpp_json::{Json, ToJson};
 
-/// Wiring-time handle for one counter: a dense index into the registry's
-/// value table, obtained once from [`Metrics::counter_handle`] and then
-/// bumped with [`Metrics::inc_handle`] / [`Metrics::add_handle`] at a cost
-/// of one bounds-checked array add — no string hashing or tree walk on the
-/// hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterHandle(usize);
-
 /// A registry of monotonically increasing counters and last-value gauges.
 ///
-/// Keys are plain dotted strings (`"server.push_slots"`). Counter values
-/// live in a dense `Vec<u64>` indexed by interned [`CounterHandle`]s; a
-/// `BTreeMap` maps each name to its slot, so iteration — and therefore
-/// JSON output — is in sorted key order, independent of insertion order.
-/// Hot paths intern a handle once at wiring time and index the value table
-/// directly; the by-name [`Metrics::inc`] / [`Metrics::add`] convenience
-/// entry points pay the map lookup each call.
+/// Keys are plain dotted strings (`"server.push_slots"`) in `BTreeMap`s,
+/// so iteration — and therefore JSON output — is in sorted key order,
+/// independent of insertion order. Reports are filled once at the end of a
+/// run; per-event counting lives in the owners' own fields (see
+/// [`EngineObs`](crate::EngineObs)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    /// Dense counter value table, indexed by [`CounterHandle`].
-    values: Vec<u64>,
-    /// Name → value-table slot; the sorted iteration order for reports.
-    by_name: BTreeMap<String, usize>,
+    counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
 }
 
@@ -36,29 +23,6 @@ impl Metrics {
         Self::default()
     }
 
-    /// Intern `name`, creating its counter at zero on first sight, and
-    /// return the handle for O(1) increments. Interning the same name
-    /// twice returns the same handle.
-    pub fn counter_handle(&mut self, name: &str) -> CounterHandle {
-        if let Some(&slot) = self.by_name.get(name) {
-            return CounterHandle(slot);
-        }
-        let slot = self.values.len();
-        self.values.push(0);
-        self.by_name.insert(name.to_string(), slot);
-        CounterHandle(slot)
-    }
-
-    /// Increment the counter behind `handle` by one.
-    pub fn inc_handle(&mut self, handle: CounterHandle) {
-        self.values[handle.0] += 1;
-    }
-
-    /// Increment the counter behind `handle` by `by`.
-    pub fn add_handle(&mut self, handle: CounterHandle, by: u64) {
-        self.values[handle.0] += by;
-    }
-
     /// Increment counter `name` by one (creating it at zero first).
     pub fn inc(&mut self, name: &str) {
         self.add(name, 1);
@@ -66,8 +30,12 @@ impl Metrics {
 
     /// Increment counter `name` by `by` (creating it at zero first).
     pub fn add(&mut self, name: &str, by: u64) {
-        let handle = self.counter_handle(name);
-        self.values[handle.0] += by;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Set gauge `name` to `value` (last write wins).
@@ -77,10 +45,7 @@ impl Metrics {
 
     /// Current value of counter `name` (zero when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.by_name
-            .get(name)
-            .map(|&slot| self.values[slot])
-            .unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of gauge `name`, if it has been set.
@@ -88,17 +53,15 @@ impl Metrics {
         self.gauges.get(name).copied()
     }
 
-    /// True when no counter or gauge has ever been written (interning a
-    /// handle counts as a write, like the old `add(name, 0)`).
+    /// True when no counter or gauge has ever been written (`add(name, 0)`
+    /// counts as a write).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty() && self.gauges.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 
     /// Iterate counters in sorted key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.by_name
-            .iter()
-            .map(|(k, &slot)| (k.as_str(), self.values[slot]))
+        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Iterate gauges in sorted key order.
@@ -135,19 +98,6 @@ mod tests {
         m.inc("x");
         m.add("x", 4);
         assert_eq!(m.counter("x"), 5);
-    }
-
-    #[test]
-    fn handles_index_the_same_counter_as_the_name() {
-        let mut m = Metrics::new();
-        let h = m.counter_handle("hot.path");
-        assert_eq!(m.counter("hot.path"), 0, "interning creates at zero");
-        m.inc_handle(h);
-        m.add_handle(h, 9);
-        m.inc("hot.path");
-        assert_eq!(m.counter("hot.path"), 11);
-        let h2 = m.counter_handle("hot.path");
-        assert_eq!(h, h2, "re-interning returns the same slot");
     }
 
     #[test]
@@ -192,9 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn interning_alone_registers_the_counter() {
+    fn adding_zero_registers_the_counter() {
         let mut m = Metrics::new();
-        m.counter_handle("wired.but.quiet");
+        m.add("wired.but.quiet", 0);
         assert!(!m.is_empty());
         let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(keys, ["wired.but.quiet"]);

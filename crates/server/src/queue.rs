@@ -116,6 +116,33 @@ impl QueueStats {
     }
 }
 
+/// Submission times of queued entries, indexed by page (`NaN`: no entry).
+/// Page ids are dense, so a flat table replaces a hashed map: one indexed
+/// store per enqueue and one per serve.
+#[derive(Debug, Clone, Default)]
+struct EnqueueTimes(Vec<f64>);
+
+impl EnqueueTimes {
+    fn insert(&mut self, page: PageId, now: f64) {
+        let i = page.index();
+        if self.0.len() <= i {
+            self.0.resize(i + 1, f64::NAN);
+        }
+        self.0[i] = now;
+    }
+
+    /// Remove and return `page`'s submission time, if it has one.
+    fn take(&mut self, page: PageId) -> Option<f64> {
+        let slot = self.0.get_mut(page.index())?;
+        let t = std::mem::replace(slot, f64::NAN);
+        (!t.is_nan()).then_some(t)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Bounded queue of distinct page requests.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
@@ -126,10 +153,9 @@ pub struct RequestQueue {
     order: VecDeque<PageId>,
     /// page -> number of coalesced requests waiting on it (>= 1).
     pending: HashMap<PageId, u32>,
-    /// page -> submission time of the entry, kept only when wait tracking
-    /// is on. Pure keyed storage — never iterated — so hash order cannot
-    /// leak into behavior.
-    enqueue_at: Option<HashMap<PageId, f64>>,
+    /// Submission time of each queued entry, kept only when wait tracking
+    /// is on.
+    enqueue_at: Option<EnqueueTimes>,
     // bpp-lint: allow(D13): cumulative run accounting — the conservation ledger needs it across crashes
     stats: QueueStats,
 }
@@ -157,7 +183,7 @@ impl RequestQueue {
     /// [`RequestQueue::pop_wait`] can report queueing delays. Off by
     /// default: the untracked queue does zero extra work.
     pub fn track_waits(&mut self) {
-        self.enqueue_at = Some(HashMap::new());
+        self.enqueue_at = Some(EnqueueTimes::default());
     }
 
     /// Change what happens when a new page arrives at a full queue.
@@ -185,7 +211,7 @@ impl RequestQueue {
                     let old = self.order.pop_front().expect("non-empty");
                     let riders = self.pending.remove(&old).unwrap_or(0);
                     if let Some(at) = &mut self.enqueue_at {
-                        at.remove(&old);
+                        at.take(old);
                     }
                     self.stats.dropped_evicted += 1;
                     self.stats.evicted_requests += u64::from(riders);
@@ -225,7 +251,7 @@ impl RequestQueue {
         let wait = self
             .enqueue_at
             .as_mut()
-            .and_then(|at| at.remove(&page))
+            .and_then(|at| at.take(page))
             .map(|t0| now - t0);
         Some((page, wait))
     }

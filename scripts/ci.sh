@@ -76,6 +76,14 @@ cargo fmt --check
 ./target/release/obs --smoke | cmp - results/obs_smoke.json \
     || { echo "ci: obs smoke report diverged from results/obs_smoke.json" >&2; exit 1; }
 
+# Full obs regression: two fixed-seed cells (K = 1 and K = 4) with a fleet,
+# crashes, brownouts and the mc_hit_rate/disk_share knobs on pin every
+# slot-sampled timeline — fleet and MC hit rates, fault and per-channel
+# brownout states, disk and channel shares — bit for bit, including the
+# downsampled buckets of a fractional stride.
+./target/release/obs --smoke-full | cmp - results/obs_full_smoke.json \
+    || { echo "ci: full obs smoke report diverged from results/obs_full_smoke.json" >&2; exit 1; }
+
 # Fleet regression: a fixed-seed arena-fleet cell (million-client
 # extension) must reproduce the committed SteadyStateResult (including its
 # "fleet" section) bit for bit.
